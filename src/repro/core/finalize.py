@@ -13,15 +13,16 @@ No new CFG elements are added here.  Four steps:
    edge's verdict is flipped at most once, ensuring convergence.
 3. **Function boundary assignment** — parallel reachability over
    intra-procedural edges from every entry (blocks may belong to several
-   functions: shared code).
+   functions: shared code), reusing step 2's converged closures.
 4. **Dead function removal** — functions discovered during analysis that
    ended with no incoming inter-procedural edges are dropped (symbol-table
    entries are roots and always stay).
 
 Finalization is deliberately agnostic to how the parser state was built:
-it reads only the parser's maps, noreturn table and stats, so the procs
-backend's structural merge (``repro.core.shard_merge``) can run it
-unchanged as the last phase over coordinator-stitched fragments.
+it reads only the parser's maps, noreturn table and stats.  Every backend
+runs this same code — the procs backend's structural merge
+(``repro.core.shard_merge``) calls it unchanged as the last phase over
+coordinator-stitched fragments, with no worker-computed shortcuts.
 """
 
 from __future__ import annotations
@@ -82,17 +83,8 @@ def _trim_overlapping_tables(parser: "ParallelParser",
                              tables: list[JumpTableInfo],
                              blocks: dict[int, Block],
                              functions: dict[int, Function]) -> None:
-    """Trim unbounded table scans at the next discovered table's base.
-
-    At the procs coordinator, a worker's shard-local trim hint (the next
-    table base *within its owned range*) short-circuits the per-table
-    work: if the global next base matches the hint's, the shard already
-    saw every table that matters for this trim, so a hinted "no trim
-    needed" verdict is final and a hinted trim applies verbatim.  A
-    mismatching or missing hint falls back to the ordinary computation.
-    """
+    """Trim unbounded table scans at the next discovered table's base."""
     rt = parser.rt
-    accel = getattr(parser, "finalize_accel", None)
     starts = sorted(t.table_addr for t in tables if t.table_addr is not None)
     removed_any = []
 
@@ -101,11 +93,9 @@ def _trim_overlapping_tables(parser: "ParallelParser",
             return
         rt.charge(rt.cost.map_op)
         idx = bisect.bisect_right(starts, info.table_addr)
-        next_base = starts[idx] if idx < len(starts) else None
-        if accel is not None and accel.jt_hint(info.block_start, next_base):
-            return  # validated worker verdict: nothing to trim
-        if next_base is None:
+        if idx >= len(starts):
             return
+        next_base = starts[idx]
         allowed = max(0, (next_base - info.table_addr) // 8)
         if info.n_entries <= allowed:
             return
@@ -126,7 +116,6 @@ def _trim_overlapping_tables(parser: "ParallelParser",
             e.dst.in_edges.remove(e)
             parser.stats.n_edges_trimmed += 1
         if doomed:
-            parser._mark_dirty(block.start)
             rt.metrics.inc("finalize.edges_trimmed", len(doomed))
             removed_any.append(True)
 
@@ -137,26 +126,10 @@ def _trim_overlapping_tables(parser: "ParallelParser",
 
 def _sweep_unreachable(parser: "ParallelParser", blocks: dict[int, Block],
                        functions: dict[int, Function]) -> None:
-    """O_ER cascade: drop blocks unreachable from any function entry.
-
-    At the procs coordinator, a worker's per-entry reach set (closed
-    under out-edges at export time) seeds ``reached`` wholesale when
-    still valid: none of its members mutated since export means their
-    out-edge sets are unchanged, so the set is still closed and every
-    member still reached.  Entries without a valid hint walk normally.
-    """
+    """O_ER cascade: drop blocks unreachable from any function entry."""
     rt = parser.rt
-    accel = getattr(parser, "finalize_accel", None)
     reached: set[int] = set()
-    stack = []
-    for f in functions.values():
-        hint = accel.sweep_hint(f.addr) if accel is not None else None
-        if hint is not None:
-            fresh = hint - reached
-            rt.charge(rt.cost.sweep_per_block * len(fresh))
-            reached |= fresh
-        else:
-            stack.append(f.entry)
+    stack = [f.entry for f in functions.values()]
     while stack:
         b = stack.pop()
         if b.start in reached:
@@ -168,7 +141,6 @@ def _sweep_unreachable(parser: "ParallelParser", blocks: dict[int, Block],
                 stack.append(e.dst)
     dead = [s for s in blocks if s not in reached]
     if dead:
-        parser._mark_dirty(*dead)
         rt.metrics.inc("finalize.blocks_swept", len(dead))
     for s in dead:
         b = blocks.pop(s)
@@ -211,50 +183,24 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
     Returns the closures of the converged round (every function, fresh)
     so :func:`_assign_boundaries` can reuse them instead of recomputing —
     or None if the round cap was hit without convergence.
-
-    At the procs coordinator two further accelerations apply, both
-    output-invariant: round 1 takes each function's closure from its
-    worker partial-finalize hint when still valid (the closure *values*
-    are identical, and the rules below are recomputed from them, so the
-    verdicts are too); rounds 2+ recompute only functions whose closures
-    a flip could have changed — a TAILCALL↔DIRECT flip at block ``s``
-    moves edges in or out of the intra-procedural set only for functions
-    containing ``s``, plus functions minted since the last round.
     """
     rt = parser.rt
-    accel = getattr(parser, "finalize_accel", None)
 
     symtab_entries = {s.offset for s in parser.binary.symtab.functions()}
     symtab_entries.update(s.offset
                           for s in parser.binary.dynsym.functions())
 
-    closures: dict[int, set[int]] = {}
-    dirty_funcs: set[int] | None = None  # None = (re)compute everything
     for _round in range(8):
         # The O_IEC fixed point of Section 5.4: each round recomputes
         # boundaries and may flip edge verdicts.
         rt.metrics.inc("finalize.tailcall_rounds")
-        first_round = dirty_funcs is None
-        if accel is None:
-            closures = {}
-            need = sorted(functions.items())
-        elif first_round:
-            need = sorted(functions.items())
-        else:
-            need = sorted((a, functions[a]) for a in dirty_funcs
-                          if a in functions)
+        closures: dict[int, set[int]] = {}
 
         def compute(fa):
             addr, func = fa
-            if accel is not None and first_round:
-                hint = accel.closure_hint(addr)
-                if hint is not None:
-                    rt.charge(rt.cost.closure_per_block * len(hint))
-                    closures[addr] = set(hint)
-                    return
             closures[addr] = _function_closure(rt, func)
 
-        rt.parallel_for(need, compute)
+        rt.parallel_for(sorted(functions.items()), compute)
 
         # Block start -> functions containing it.
         containing: dict[int, set[int]] = {}
@@ -267,7 +213,6 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                     or any(ie.etype.interprocedural for ie in dst.in_edges))
 
         flips = 0
-        flip_srcs: list[int] = []
         for b in (blocks[s] for s in sorted(blocks)):
             for e in list(b.out_edges):
                 if e.flipped:
@@ -279,7 +224,6 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                         e.etype = EdgeType.TAILCALL
                         e.flipped = True
                         flips += 1
-                        flip_srcs.append(e.src.start)
                 elif e.etype is EdgeType.TAILCALL:
                     target = e.dst.start
                     src_funcs = containing.get(e.src.start, set())
@@ -301,7 +245,6 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                         e.etype = EdgeType.DIRECT
                         e.flipped = True
                         flips += 1
-                        flip_srcs.append(e.src.start)
         parser.stats.n_tailcall_flips += flips
         if flips:
             rt.metrics.inc("finalize.tailcall_flips", flips)
@@ -310,13 +253,8 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
             # mutated edges since this round's compute pass).
             return closures
 
-        # A flip changes a block's out-edge type: hints that include it
-        # are stale from here on.
-        parser._mark_dirty(*flip_srcs)
-
         # Flips change the function set: rule-1 flips may need a function
         # at the target; rule-2/3 flips may orphan one (cleaned later).
-        minted: list[int] = []
         for b in blocks.values():
             for e in b.out_edges:
                 if e.etype is EdgeType.TAILCALL and \
@@ -326,12 +264,6 @@ def _correct_tail_calls(parser: "ParallelParser", blocks: dict[int, Block],
                                     discovered_via="tailcall")
                     func.status = parser.noreturn.status_of(e.dst.start)
                     functions[e.dst.start] = func
-                    minted.append(e.dst.start)
-
-        if accel is not None:
-            dirty_funcs = set(minted)
-            for s in flip_srcs:
-                dirty_funcs.update(containing.get(s, ()))
     return None
 
 

@@ -27,7 +27,6 @@ semantics and re-analyzed after a function gains more control-flow paths
 
 from __future__ import annotations
 
-import bisect
 import os
 import threading
 from dataclasses import dataclass, field
@@ -80,14 +79,6 @@ class ParseOptions:
     #: at quiesced points (finalize, shard merge) — see
     #: :mod:`repro.sanity.cfgsan`.  Env ``REPRO_CFGSAN=1`` forces it on.
     sanitize: bool = False
-    #: ship worker-side partial-finalize hints in exported fragments and
-    #: consume them at the coordinator (procs backend tail optimization).
-    #: Perf-only: results are byte-identical either way — hints are
-    #: validated against a dirty-block log and fall back to recomputation.
-    #: The procs backend resolves ``REPRO_NO_PARTIAL_FINALIZE=1`` into
-    #: this flag *before* fan-out (long-lived pool workers must not read
-    #: the env themselves).
-    partial_finalize: bool = True
 
 
 @dataclass
@@ -150,20 +141,6 @@ class ParallelParser:
         #: mode): expansion steps targeting a foreign address are recorded
         #: in ``_frontier`` instead of executed.  None = own everything.
         self._owned = owned_range
-        #: multi-range ownership (coordinator early drains): the union of
-        #: installed shard claims, as a sorted disjoint ``[(lo, hi), …]``
-        #: list.  Only consulted when ``_owned`` is None; None = own
-        #: everything.  See :meth:`set_owned_ranges`.
-        self._owned_ranges: list[tuple[int, int]] | None = None
-        self._own_los: list[int] = []
-        #: coordinator-side dirty-block log (procs structural merge):
-        #: starts of blocks whose out-edges or last_kind changed since the
-        #: fragments were exported.  The merge uses it to invalidate
-        #: worker partial-finalize hints; None = not tracking.
-        self._dirty_log: set[int] | None = None
-        #: coordinator-side partial-finalize hint index
-        #: (:class:`repro.core.shard_merge.FinalizeAccel`); None = off.
-        self.finalize_accel = None
         self._frontier: list[FrontierRecord] = []
         self._frontier_ctxs: list[_TaskCtx | None] = []
         self.blocks_by_start: ConcurrentHashMap[int, Block] = \
@@ -240,39 +217,10 @@ class ParallelParser:
 
     def _foreign(self, addr: int) -> bool:
         """True if ``addr`` is owned by another shard (fragment mode)."""
-        if self._owned is not None:
-            lo, hi = self._owned
-            return not (lo <= addr < hi)
-        ranges = self._owned_ranges
-        if ranges is None:
+        if self._owned is None:
             return False
-        i = bisect.bisect_right(self._own_los, addr) - 1
-        return i < 0 or addr >= ranges[i][1]
-
-    def set_owned_ranges(self,
-                         ranges: list[tuple[int, int]] | None) -> None:
-        """Own exactly the union of ``ranges`` (coordinator early drains).
-
-        While some shards are still outstanding, the coordinator replays
-        ready frontier records with ownership restricted to the installed
-        claims: any cascade step that would touch a not-yet-installed
-        region re-defers itself through the ordinary ``_defer_frontier``
-        path instead of creating blocks a later fragment will export
-        (which would trip the shard-ownership guard).  None restores
-        full ownership for the final drain.
-        """
-        if ranges is None:
-            self._owned_ranges = None
-            self._own_los = []
-        else:
-            self._owned_ranges = sorted(ranges)
-            self._own_los = [lo for lo, _ in self._owned_ranges]
-
-    def _mark_dirty(self, *starts: int) -> None:
-        """Record coordinator-side block mutations (hint invalidation)."""
-        log = self._dirty_log
-        if log is not None:
-            log.update(starts)
+        lo, hi = self._owned
+        return not (lo <= addr < hi)
 
     def _defer_frontier(self, ctx: _TaskCtx | None, kind: str,
                         block: Block | None = None,
@@ -465,7 +413,6 @@ class ParallelParser:
                     acc.value = blk
                     blk.end = e
                     blk.last_kind = lst.cf_kind if lst is not None else None
-                    self._mark_dirty(blk.start)
                     if lst is not None:
                         self._create_edges(ctx, blk, lst)
                     continue
@@ -489,7 +436,6 @@ class ParallelParser:
         rt.charge(rt.cost.block_split)
         rt.metrics.inc("parser.block_splits")
         self.stats.n_splits += 1
-        self._mark_dirty(blk.start, other.start)
         trace = self.op_trace
         if trace is not None:
             loser = other if other.start < blk.start else blk
@@ -519,7 +465,6 @@ class ParallelParser:
         rt = self.rt
         rt.charge(rt.cost.edge_create)
         rt.metrics.inc("parser.edges_created")
-        self._mark_dirty(src.start)
         edge = Edge(src, dst, etype)
         src.out_edges.append(edge)
         dst.in_edges.append(edge)
@@ -788,7 +733,6 @@ class ParallelParser:
         """Resolve return statuses and release deferred fall-throughs
         until nothing changes; then resolve cycles to NORETURN."""
         rt = self.rt
-        accel = self.finalize_accel
         probe = self.opts.fault_probe
         for _ in range(self.opts.max_waves):
             if probe is not None:
@@ -805,14 +749,7 @@ class ParallelParser:
 
             # Closure walks are the expensive part of a wave; do them in
             # parallel, then run the (cheap) status fixed point serially.
-            # At the procs coordinator, a still-valid worker hint replaces
-            # the walk entirely (worker-side partial finalization).
             def precompute(f: Function) -> None:
-                if accel is not None:
-                    hint = accel.wave_hint(f.addr)
-                    if hint is not None:
-                        memo[f.addr] = hint
-                        return
                 memo[f.addr] = base_summary(f)
 
             rt.parallel_for(
@@ -825,10 +762,7 @@ class ParallelParser:
                     memo[f.addr] = base_summary(f)
                 return memo[f.addr]
 
-            parts = (accel.wave_partitions(funcs)
-                     if accel is not None else None)
-            released = self.noreturn.resolve_wave(funcs, summary,
-                                                  partitions=parts)
+            released = self.noreturn.resolve_wave(funcs, summary)
             if not released:
                 if self._owned is None:
                     # Fragment mode skips the cycle rule: concluding

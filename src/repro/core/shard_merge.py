@@ -21,26 +21,16 @@ executing it.  This module is the coordinator side:
 3. **Replay** the frontier records through the real parser machinery —
    tail-call classification, function creation, noreturn deferral and
    jump-table analysis all run exactly as in a serial parse, just
-   starting from the merged state.  Replay is *batched*: after every
-   install, records whose endpoint regions are all installed drain
-   immediately (coordinator ownership restricted to the installed
-   claims, so cascades re-defer anything further), overlapping
-   cross-shard expansion with still-outstanding shards; the final drain
-   at :meth:`StreamingMerge.finish` restores full ownership.  Within a
-   batch records replay in discovery order; across batches (one per
-   source shard) they replay in parallel (``rt.parallel_for``), safe
-   because ownership claims make the record sets disjoint and all
-   shared state goes through the accessor-based invariant machinery.
-4. Run the wave fixed point — including the cycle rule the fragments
-   had to skip, and *sharded* across ownership partitions when more
-   than one claim is installed (``resolve_wave(partitions=…)``) — then
-   the ordinary ``finalize`` correction phase, accelerated by the
-   workers' :class:`PartialFinalize` hints where still valid.
+   starting from the merged state.  Replay runs once, after the last
+   fragment is installed (a record may target any shard's region), in
+   shard order and within a shard in discovery order.
+4. Run the ordinary wave fixed point (including the cycle rule the
+   fragments had to skip) and the same ``finalize`` correction phase
+   every backend runs.
 
-Steps 1–3 run *incrementally*: :class:`StreamingMerge` installs each
-fragment the moment its delta lands and drains ready frontier batches
-right after, overlapping merge and replay work with the still-running
-fan-out; :func:`merge_fragments` is the batch wrapper the
+Steps 1–2 run *incrementally*: :class:`StreamingMerge` installs each
+fragment the moment its delta lands, overlapping install work with the
+still-running fan-out; :func:`merge_fragments` is the batch wrapper the
 inline/degraded paths use (same code path, installs in shard order).
 
 Correctness rests on the battery-proven schedule independence of the
@@ -53,8 +43,6 @@ battery (``tests/test_differential_backends.py``) pins exactly that.
 
 from __future__ import annotations
 
-import bisect
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -77,34 +65,8 @@ from repro.core.parallel_parser import (
     _TaskCtx,
 )
 from repro.errors import RuntimeConfigError
-from repro.isa.instructions import ControlFlowKind, Instruction
+from repro.isa.instructions import Instruction
 from repro.runtime.api import Runtime
-
-
-@dataclass
-class PartialFinalize:
-    """Worker-precomputed, shard-local finalize inputs (flat tuples).
-
-    Each hint is a pure function of the worker's exported block graph;
-    the coordinator validates a hint against its dirty-block log (blocks
-    whose out-edges or last_kind changed since install) and uses it only
-    when every block it mentions is untouched — then the hinted value is
-    exactly what recomputation would produce, so results are
-    byte-identical with hints on, off, or partially valid.
-    """
-
-    #: (func_addr, sorted intra-procedural closure starts, has_ret,
-    #:  sorted tail-call targets) — one walk serves the tail-call rules,
-    #: boundary assignment and the wave summary (the edge sets coincide).
-    closures: list[tuple[int, tuple[int, ...], bool, tuple[int, ...]]] = \
-        field(default_factory=list)
-    #: (func_addr, sorted all-edge reach from the entry) — seeds the
-    #: unreachable sweep (closed under out-edges at export time).
-    sweep: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
-    #: (block_start, local next table base) for unbounded tables whose
-    #: trim is a no-op given that base — valid when the global next base
-    #: matches (the shard then already saw every table that matters).
-    jt_noop: list[tuple[int, int | None]] = field(default_factory=list)
 
 
 @dataclass
@@ -141,11 +103,6 @@ class CFGFragment:
     #: attempt whose delta straggles in next to its retry's); the merge
     #: keeps the highest attempt per shard and drops the rest.
     attempt: int = 1
-    #: worker-side partial-finalize hints (None when disabled via
-    #: ``ParseOptions.partial_finalize`` / ``REPRO_NO_PARTIAL_FINALIZE``,
-    #: or for fragments from older producers — the merge treats a missing
-    #: payload as "no hints" and recomputes, so degraded rungs work).
-    partial: PartialFinalize | None = None
 
 
 def export_fragment(parser: ParallelParser, shard_id: int,
@@ -183,182 +140,7 @@ def export_fragment(parser: ParallelParser, shard_id: int,
     frag.reached = {addr: sorted(starts)
                     for addr, starts in reached.items()}
     frag.n_splits = parser.stats.n_splits
-    if parser.opts.partial_finalize:
-        frag.partial = compute_partial(parser)
     return frag
-
-
-def compute_partial(parser: ParallelParser) -> PartialFinalize:
-    """Precompute shard-local finalize inputs on the worker.
-
-    Workers only create blocks at addresses they own, so every walk here
-    is automatically shard-local; cross-shard steps were frontier-deferred
-    and created no edges, so the walks are closed over the exported graph.
-    """
-    part = PartialFinalize()
-    for addr, f in parser.functions.sorted_items():
-        starts, has_ret, tails = _intra_walk(f)
-        part.closures.append((addr, tuple(sorted(starts)), has_ret,
-                              tuple(sorted(tails))))
-        part.sweep.append((addr, tuple(sorted(_all_edge_reach(f)))))
-    tables = [info for _, info in parser.jump_tables.sorted_items()]
-    bases = sorted(t.table_addr for t in tables if t.table_addr is not None)
-    for info in tables:
-        if info.table_addr is None or info.bounded:
-            continue
-        idx = bisect.bisect_right(bases, info.table_addr)
-        next_base = bases[idx] if idx < len(bases) else None
-        if next_base is not None:
-            allowed = max(0, (next_base - info.table_addr) // 8)
-            if info.n_entries > allowed:
-                continue  # a real trim is needed: no no-op verdict
-        # next_base None = "no later base in my range": a no-op verdict
-        # the coordinator may use iff the global next base is also None.
-        part.jt_noop.append((info.block_start, next_base))
-    return part
-
-
-def _intra_walk(f: Function) -> tuple[set[int], bool, set[int]]:
-    """Closure starts, has-return and tail targets in one walk.
-
-    The edge set followed here (``EdgeType.intraprocedural``) is the same
-    one both ``closure_summary_fn`` (wave) and finalize's
-    ``_function_closure`` walk, so a single worker walk serves all three
-    coordinator consumers.
-    """
-    seen: set[int] = set()
-    stack = [f.entry]
-    has_ret = False
-    tails: set[int] = set()
-    while stack:
-        b = stack.pop()
-        if b.start in seen:
-            continue
-        seen.add(b.start)
-        if b.last_kind is ControlFlowKind.RETURN:
-            has_ret = True
-        for e in b.out_edges:
-            if e.etype.intraprocedural:
-                stack.append(e.dst)
-            elif e.etype is EdgeType.TAILCALL:
-                tails.add(e.dst.start)
-    return seen, has_ret, tails
-
-
-def _all_edge_reach(f: Function) -> set[int]:
-    """Starts reachable from the entry via *all* edges (sweep seed)."""
-    seen: set[int] = set()
-    stack = [f.entry]
-    while stack:
-        b = stack.pop()
-        if b.start in seen:
-            continue
-        seen.add(b.start)
-        for e in b.out_edges:
-            if e.dst.start not in seen:
-                stack.append(e.dst)
-    return seen
-
-
-class FinalizeAccel:
-    """Coordinator-side index of worker partial-finalize hints.
-
-    Consumed by ``finalize`` (closure/sweep/jt-trim hints), by the
-    coordinator's wave fixed point (summary hints and ownership
-    partitions for the sharded wave), all via the parser's
-    ``finalize_accel`` attribute — which only :class:`StreamingMerge`
-    sets, so serial/vtime/threads parses are untouched.
-
-    Validity discipline: the parser's ``_dirty_log`` (wired to
-    :attr:`dirty`) records every block whose out-edges or last_kind
-    changed after fragment install — splits, new edges, replayed end
-    registrations, finalize trims and sweeps.  A hint is used only while
-    its block-start set is disjoint from that log.
-    """
-
-    def __init__(self, rt: Runtime):
-        self.rt = rt
-        self.dirty: set[int] = set()
-        #: func addr -> (closure starts, has_ret, tail targets)
-        self._closures: dict[int, tuple] = {}
-        self._sweeps: dict[int, frozenset[int]] = {}
-        self._jt_noop: dict[int, int | None] = {}
-        #: installed shard claims, in install order
-        self._ranges: list[tuple[int, int]] = []
-
-    def add_fragment(self, frag: CFGFragment, ingest: bool) -> None:
-        self._ranges.append(frag.owned)
-        if not ingest or frag.partial is None:
-            return
-        self.rt.metrics.inc("procs.partial.fragments")
-        for addr, starts, has_ret, tails in frag.partial.closures:
-            self._closures[addr] = (starts, has_ret, tails)
-        for addr, starts in frag.partial.sweep:
-            self._sweeps[addr] = frozenset(starts)
-        for bstart, next_base in frag.partial.jt_noop:
-            self._jt_noop[bstart] = next_base
-
-    def ranges(self) -> list[tuple[int, int]]:
-        return list(self._ranges)
-
-    # -- hint lookups (each validates against the dirty log) ----------------
-
-    def closure_hint(self, addr: int) -> tuple[int, ...] | None:
-        rec = self._closures.get(addr)
-        if rec is not None and self.dirty.isdisjoint(rec[0]):
-            self.rt.metrics.inc("procs.partial.closure_hits")
-            return rec[0]
-        self.rt.metrics.inc("procs.partial.closure_misses")
-        return None
-
-    def wave_hint(self, addr: int) -> tuple[bool, frozenset[int]] | None:
-        rec = self._closures.get(addr)
-        if rec is not None and self.dirty.isdisjoint(rec[0]):
-            rt = self.rt
-            rt.metrics.inc("procs.partial.wave_hits")
-            rt.charge(rt.cost.closure_per_block * len(rec[0]))
-            return rec[1], frozenset(rec[2])
-        self.rt.metrics.inc("procs.partial.wave_misses")
-        return None
-
-    def sweep_hint(self, addr: int) -> set[int] | None:
-        rec = self._sweeps.get(addr)
-        if rec is not None and self.dirty.isdisjoint(rec):
-            self.rt.metrics.inc("procs.partial.sweep_hits")
-            return set(rec)
-        self.rt.metrics.inc("procs.partial.sweep_misses")
-        return None
-
-    def jt_hint(self, block_start: int, global_next_base: int | None) -> bool:
-        if (block_start in self._jt_noop
-                and self._jt_noop[block_start] == global_next_base
-                and block_start not in self.dirty):
-            self.rt.metrics.inc("procs.partial.jt_hits")
-            return True
-        self.rt.metrics.inc("procs.partial.jt_misses")
-        return False
-
-    # -- sharded wave partitions --------------------------------------------
-
-    def wave_partitions(self, funcs: list[Function]
-                        ) -> list[list[Function]] | None:
-        """Partition functions by shard-claim ownership (entry address).
-
-        The claims partition the address space, so every function —
-        including ones minted at the coordinator — maps to exactly one
-        partition.  Returns None (serial wave) with fewer than two
-        non-empty partitions.
-        """
-        ranges = sorted(self._ranges)
-        if len(ranges) <= 1:
-            return None
-        los = [lo for lo, _ in ranges]
-        parts: list[list[Function]] = [[] for _ in ranges]
-        for f in funcs:
-            i = bisect.bisect_right(los, f.addr) - 1
-            parts[i if i >= 0 else 0].append(f)
-        live = [p for p in parts if p]
-        return live if len(live) > 1 else None
 
 
 class StreamingMerge:
@@ -392,30 +174,14 @@ class StreamingMerge:
         self.rt = rt
         self.opts = replace(options or ParseOptions(),
                             thread_local_cache=True)
-        #: worker partial-finalize hints enabled (resolved from the
-        #: options *and*, defensively, the env — the procs backend folds
-        #: ``REPRO_NO_PARTIAL_FINALIZE=1`` into the options before
-        #: fan-out, but inline/test paths construct the merge directly).
-        self.partial_enabled = (
-            self.opts.partial_finalize
-            and os.environ.get("REPRO_NO_PARTIAL_FINALIZE") != "1")
-        self.accel = FinalizeAccel(rt)
         #: merged decode cache; grows as deltas arrive.  The parser
         #: holds this same dict, so later updates are visible to it.
         self.warm: dict[int, Instruction] = {}
         #: every installed block by start (cross-fragment ownership guard)
         self.blocks: dict[int, Block] = {}
         self._parser: ParallelParser | None = None
-        self._installed: dict[int, int] = {}  # shard_id -> attempt
-        self._frags: list[CFGFragment] = []
-        self._frag_by_sid: dict[int, CFGFragment] = {}
-        #: undrained frontier records per source shard
-        self._pending: dict[int, list[FrontierRecord]] = {}
-        #: persistent replay contexts, one per (shard, function) — a
-        #: shard's records may drain across several batches; reusing the
-        #: context preserves the "at least what the shard task had"
-        #: seeding across them.
-        self._replay_ctxs: dict[tuple[int, int], _TaskCtx] = {}
+        #: installed fragments by shard id
+        self._frags: dict[int, CFGFragment] = {}
 
     @property
     def parser(self) -> ParallelParser:
@@ -426,17 +192,8 @@ class StreamingMerge:
         land keeps the shared ``warm`` dict wired in.
         """
         if self._parser is None:
-            p = ParallelParser(self.binary, self.rt, self.opts,
-                               warm_cache=self.warm)
-            # Coordinator-only acceleration state: hint index + dirty
-            # log + wave partitions.  Set exclusively here so the
-            # serial/vtime/threads parse paths are structurally
-            # untouched.  With partial finalization disabled the accel
-            # simply holds no hints (every lookup misses); the sharded
-            # wave still gets its ownership partitions.
-            p.finalize_accel = self.accel
-            p._dirty_log = self.accel.dirty
-            self._parser = p
+            self._parser = ParallelParser(self.binary, self.rt, self.opts,
+                                          warm_cache=self.warm)
         return self._parser
 
     def accept(self, fragment: CFGFragment,
@@ -450,7 +207,7 @@ class StreamingMerge:
         the ``procs.overlap.*`` metrics.  Returns False (and installs
         nothing) for a shard that already has a fragment installed.
         """
-        if fragment.shard_id in self._installed:
+        if fragment.shard_id in self._frags:
             return False
         if insns:
             self.warm.update(insns)
@@ -503,39 +260,21 @@ class StreamingMerge:
                 m.inc("procs.merge.edges", n_edges)
                 m.inc("procs.merge.functions", len(funcs))
                 m.inc("procs.merge.end_splits", end_splits)
-                m.observe("procs.merge.wall_ns", wall)
                 m.observe("procs.phase.install_wall_ns", wall)
                 if streamed:
                     m.inc("procs.overlap.fragments")
                     m.observe("procs.overlap.install_wall_ns", wall)
                 else:
                     m.inc("procs.overlap.batch_fragments")
-        self._installed[fragment.shard_id] = fragment.attempt
-        self._frags.append(fragment)
-        self._frag_by_sid[fragment.shard_id] = fragment
-        self._pending[fragment.shard_id] = list(fragment.frontier)
-        self.accel.add_fragment(fragment, ingest=self.partial_enabled)
-        # Batched early drain: replay every pending record whose endpoint
-        # regions are all installed, overlapping cross-shard expansion
-        # with still-outstanding shards.
-        with rt.phase("cfg_frontier"):
-            t1 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            n, batches = self._drain_ready(final=False)
-            if m.enabled and n:
-                wall = time.perf_counter_ns() - t1  # sanity: allow(wall-clock) coordinator-side metric
-                m.inc("procs.frontier.records", n)
-                m.inc("procs.frontier.early_records", n)
-                m.inc("procs.frontier.batches", batches)
-                m.observe("procs.frontier.replay_wall_ns", wall)
-                m.observe("procs.phase.frontier_wall_ns", wall)
+        self._frags[fragment.shard_id] = fragment
         return True
 
     def finish(self) -> ParsedCFG:
-        """Complete the parse: final frontier drain, waves, finalization.
+        """Complete the parse: frontier replay, waves, finalization.
 
         Only callable once every shard's fragment has been accepted —
-        the final drain restores full ownership, so any record (or
-        re-deferred cascade step) still pending replays unconditionally.
+        a frontier record may target any other shard's region, so the
+        replay needs the whole merged graph.
         """
         rt = self.rt
         m = rt.metrics
@@ -543,20 +282,17 @@ class StreamingMerge:
 
         if getattr(parser, "op_trace", None) is not None:
             # Debug hook: the merged-from-shards graph must satisfy the
-            # structural invariants before the remaining replay extends it.
+            # structural invariants before the frontier replay extends it.
             from repro.sanity.cfgsan import run_cfgsan
             run_cfgsan(parser, "shard-merge")
 
         with rt.phase("cfg_frontier"):
             t1 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
-            n, batches = self._drain_ready(final=True)
+            n = self._replay_frontier()
             if m.enabled:
-                wall = time.perf_counter_ns() - t1  # sanity: allow(wall-clock) coordinator-side metric
                 m.inc("procs.frontier.records", n)
-                if batches:
-                    m.inc("procs.frontier.batches", batches)
-                m.observe("procs.frontier.replay_wall_ns", wall)
-                m.observe("procs.phase.frontier_wall_ns", wall)
+                m.observe("procs.phase.frontier_wall_ns",
+                          time.perf_counter_ns() - t1)  # sanity: allow(wall-clock) coordinator-side metric
 
         with rt.phase("cfg_wave"):
             t2 = time.perf_counter_ns()  # sanity: allow(wall-clock) coordinator-side metric
@@ -573,128 +309,24 @@ class StreamingMerge:
                           time.perf_counter_ns() - t3)  # sanity: allow(wall-clock) coordinator-side metric
         return cfg
 
-    # ------------------------------------------------- batched frontier drains
+    # ------------------------------------------------------ frontier replay
 
-    def _insn_at(self, addr: int) -> Instruction:
-        """Resolve an instruction for replay: merged warm cache, then the
-        coordinator's own decode cache (cascade-parsed blocks), then a
-        direct deterministic decode."""
-        insn = self.warm.get(addr)
-        if insn is None:
-            insn = self.parser.local_decode_cache().get(addr)
-        if insn is None:
-            insn = self.parser.decoder.decode_at(addr)
-        return insn
+    def _replay_frontier(self) -> int:
+        """Replay every shard's deferred cross-shard steps; returns the
+        number of records replayed.
 
-    def _block_at(self, start: int) -> Block:
-        blk = self.blocks.get(start)
-        if blk is None:
-            blk = self.parser.blocks_by_start.get(start)
-        assert blk is not None, f"replay source block {start:#x} missing"
-        return blk
-
-    def _record_ready(self, rec: FrontierRecord) -> bool:
-        """True when every address this record's replay step itself
-        touches lies in an installed claim (the cascade it triggers
-        re-defers anything further via the restricted ownership)."""
-        foreign = self.parser._foreign
-        try:
-            if rec.kind in ("direct", "intra"):
-                return not foreign(rec.target)
-            if rec.kind == "resume":
-                return not foreign(rec.site[2])
-            if rec.kind == "end":
-                return not foreign(rec.last_addr)
-            insn = self._insn_at(rec.last_addr)  # cond | call
-            if rec.kind == "call":
-                return not foreign(insn.direct_target)
-            return (not foreign(insn.direct_target)
-                    and not foreign(insn.end))
-        except Exception:
-            return False
-
-    def _drain_ready(self, final: bool) -> tuple[int, int]:
-        """Replay every ready pending record; returns (records, batches).
-
-        Ownership is restricted to the union of installed claims while
-        shards are outstanding (``final=False``), so replay cascades
-        re-defer any step into a not-yet-installed region instead of
-        creating blocks a later fragment will export.  The final drain
-        restores full ownership first.
-        """
-        parser = self.parser
-        parser.set_owned_ranges(None if final else self.accel.ranges())
-        batches: list[tuple[CFGFragment, list[FrontierRecord]]] = []
-        for sid in sorted(self._pending):
-            recs = self._pending[sid]
-            if not recs:
-                continue
-            if final:
-                ready, rest = recs, []
-            else:
-                ready, rest = [], []
-                for rec in recs:
-                    (ready if self._record_ready(rec) else rest).append(rec)
-            if ready:
-                self._pending[sid] = rest
-                batches.append((self._frag_by_sid[sid], ready))
-        own = self._take_ready_own(final)
-        if not batches and not own:
-            return 0, 0
-        self._replay_batches(batches, own)
-        n = sum(len(r) for _, r in batches) + len(own)
-        return n, len(batches) + (1 if own else 0)
-
-    def _take_ready_own(self, final: bool
-                        ) -> list[tuple[FrontierRecord, _TaskCtx | None]]:
-        """Pop coordinator-re-deferred records that became ready.
-
-        Cascades during early drains defer steps into uninstalled
-        regions through the ordinary ``_defer_frontier`` path; their
-        live contexts ride along so a later drain resumes them exactly
-        where they stopped.
-        """
-        parser = self.parser
-        if not parser._frontier:
-            return []
-        own: list[tuple[FrontierRecord, _TaskCtx | None]] = []
-        keep_r: list[FrontierRecord] = []
-        keep_c: list[_TaskCtx | None] = []
-        for rec, ctx in zip(parser._frontier, parser._frontier_ctxs):
-            if final or self._record_ready(rec):
-                own.append((rec, ctx))
-            else:
-                keep_r.append(rec)
-                keep_c.append(ctx)
-        parser._frontier = keep_r
-        parser._frontier_ctxs = keep_c
-        return own
-
-    def _replay_batches(self, batches, own) -> None:
-        """Replay drained batches through the real parser machinery.
-
-        Within a batch records replay in discovery order; across batches
-        (one per source shard — their records were produced inside
-        disjoint claims) they replay under ``rt.parallel_for``, exactly
-        like the old whole-frontier replay but per drain.  Tasks the
-        replay discovers spawn into the shared group (or round queue) as
-        in a live parse, and the drain quiesces before returning.
+        Shards replay in shard order, each in its discovery order.  Tasks
+        the replay discovers spawn into the shared group (or round
+        queue) exactly as in a live parse, and the replay quiesces before
+        returning.
         """
         parser = self.parser
         rt = parser.rt
         group = rt.task_group() if parser.opts.task_parallel else None
         parser._group = group
         try:
-            if group is not None and len(batches) > 1:
-                rt.parallel_for(
-                    batches,
-                    lambda b: self._replay_batch(b[0], b[1]),
-                    sort_key=lambda b: b[0].shard_id)
-            else:
-                for frag, recs in batches:
-                    self._replay_batch(frag, recs)
-            for rec, ctx in own:
-                self._replay_own(rec, ctx)
+            for sid in sorted(self._frags):
+                self._replay_shard(self._frags[sid])
             if group is not None:
                 group.wait()
             else:
@@ -707,19 +339,31 @@ class StreamingMerge:
                     current = parser._round_discovered
         finally:
             parser._group = None
+        return sum(len(f.frontier) for f in self._frags.values())
 
-    def _replay_batch(self, frag: CFGFragment,
-                      recs: list[FrontierRecord]) -> None:
+    def _replay_shard(self, frag: CFGFragment) -> None:
+        """Replay one shard's frontier records, in discovery order.
+
+        One coordinator task context per function: seeded with the shard
+        task's final reached set, so tail-call classification and
+        shared-region scans observe at least what the shard task had.
+        The source block of each record is the *current* owner of the
+        end address registered at record time — splits during the merge
+        or earlier replays move edges to the owner, exactly as in a live
+        parse.
+        """
         parser = self.parser
-        for rec in recs:
+        blocks = self.blocks
+        warm = self.warm
+        ctxs: dict[int, _TaskCtx] = {}
+        for rec in frag.frontier:
             if rec.kind == "resume":
                 c, bs, ft, ce = rec.site
                 parser._resume_call_ft(DeferredCallSite(
-                    caller_addr=c, block=self._block_at(bs),
+                    caller_addr=c, block=blocks[bs],
                     fallthrough=ft, callee_addr=ce))
                 continue
-            key = (frag.shard_id, rec.func_addr)
-            ctx = self._replay_ctxs.get(key)
+            ctx = ctxs.get(rec.func_addr)
             if ctx is None:
                 func = parser.functions.get(rec.func_addr)
                 assert func is not None, (
@@ -728,45 +372,24 @@ class StreamingMerge:
                 ctx = _TaskCtx(func=func)
                 ctx.reached.update(frag.reached.get(rec.func_addr, ()))
                 ctx.reached.add(rec.func_addr)
-                self._replay_ctxs[key] = ctx
-            self._replay_record(ctx, rec)
+                ctxs[rec.func_addr] = ctx
+            if rec.kind == "end":
+                parser._register_end(ctx, blocks[rec.block_start],
+                                     rec.end_addr, warm[rec.last_addr])
+            else:
+                src = parser.block_ends.get(rec.end_addr)
+                if src is None:
+                    src = blocks[rec.block_start]
+                if rec.kind == "direct":
+                    parser._direct_branch(ctx, src, rec.target)
+                elif rec.kind == "cond":
+                    parser._cond_branch(ctx, src, warm[rec.last_addr])
+                elif rec.kind == "call":
+                    parser._call(ctx, src, warm[rec.last_addr])
+                else:  # intra
+                    parser._add_intra_target(ctx, src, rec.target,
+                                             EdgeType(rec.etype))
             parser._drain(ctx)
-
-    def _replay_own(self, rec: FrontierRecord,
-                    ctx: _TaskCtx | None) -> None:
-        parser = self.parser
-        if rec.kind == "resume":
-            c, bs, ft, ce = rec.site
-            parser._resume_call_ft(DeferredCallSite(
-                caller_addr=c, block=self._block_at(bs),
-                fallthrough=ft, callee_addr=ce))
-            return
-        if ctx is None:
-            func = parser.functions.get(rec.func_addr)
-            assert func is not None
-            ctx = _TaskCtx(func=func)
-            ctx.reached.add(rec.func_addr)
-        self._replay_record(ctx, rec)
-        parser._drain(ctx)
-
-    def _replay_record(self, ctx: _TaskCtx, rec: FrontierRecord) -> None:
-        parser = self.parser
-        if rec.kind == "end":
-            parser._register_end(ctx, self._block_at(rec.block_start),
-                                 rec.end_addr, self._insn_at(rec.last_addr))
-            return
-        src = parser.block_ends.get(rec.end_addr)
-        if src is None:
-            src = self._block_at(rec.block_start)
-        if rec.kind == "direct":
-            parser._direct_branch(ctx, src, rec.target)
-        elif rec.kind == "cond":
-            parser._cond_branch(ctx, src, self._insn_at(rec.last_addr))
-        elif rec.kind == "call":
-            parser._call(ctx, src, self._insn_at(rec.last_addr))
-        else:  # intra
-            parser._add_intra_target(ctx, src, rec.target,
-                                     EdgeType(rec.etype))
 
 
 def merge_fragments(binary: LoadedBinary, rt: Runtime,

@@ -316,7 +316,6 @@ def delta_digest(delta: Any) -> str:
         [repr(r) for r in frag.frontier],
         sorted(frag.reached.items()),
         frag.n_splits,
-        repr(getattr(frag, "partial", None)),
     ))
     return hashlib.sha256(payload.encode()).hexdigest()
 

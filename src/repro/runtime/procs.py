@@ -58,10 +58,10 @@ Execution model
    functions and noreturn records are disjoint by ownership; block
    *ends* are reconciled through the real invariant-4 split cascade
    where shards disagree.  Once every shard is in, the frontier
-   records replay through the ordinary parser machinery (in parallel
-   across shards — ownership makes the record sets disjoint), the
-   wave fixed point runs (including the cycle rule fragments must
-   skip), and the ordinary ``finalize`` correction phase completes.
+   records replay once, in shard order, through the ordinary parser
+   machinery; the ordinary wave fixed point runs (including the cycle
+   rule fragments must skip); and the same ``finalize`` correction
+   phase every backend runs completes the parse.
    Schedule independence of the invariant machinery (battery-proven)
    makes the result equal the serial fixed point byte-for-byte.
 
@@ -604,13 +604,6 @@ class ProcsRuntime(SerialRuntime):
         from repro.core.parallel_parser import ParseOptions
 
         opts = options or ParseOptions()
-        if opts.partial_finalize and \
-                os.environ.get("REPRO_NO_PARTIAL_FINALIZE") == "1":
-            # Resolve the kill switch coordinator-side, *before* fan-out:
-            # long-lived forked pool workers must not read the env
-            # themselves (they inherited the environment of whatever
-            # parse first created the pool).
-            opts = replace(opts, partial_finalize=False)
         self._t0 = time.perf_counter()
         self._budget_t0 = time.monotonic()
         self.fault_events = []
@@ -656,9 +649,8 @@ class ProcsRuntime(SerialRuntime):
             t_pool = time.perf_counter_ns()
             deltas = self._map_shards(binary, opts, tasks)
             if m.enabled:
-                fanout_wall = time.perf_counter_ns() - t_pool
-                m.observe("procs.fanout_wall_ns", fanout_wall)
-                m.observe("procs.phase.fanout_wall_ns", fanout_wall)
+                m.observe("procs.phase.fanout_wall_ns",
+                          time.perf_counter_ns() - t_pool)
             self.shard_deltas = deltas
 
             # Validate every delta and keep one per shard: a timed-out

@@ -11,25 +11,26 @@ import pickle
 
 import pytest
 
-from types import SimpleNamespace
-
 from repro.core import parse_binary
 from repro.core.parallel_parser import ParseOptions
 from repro.core.shard_merge import (
     CFGFragment,
-    FinalizeAccel,
-    PartialFinalize,
     StreamingMerge,
     _rebuild_fragment_graph,
     merge_fragments,
 )
 from repro.errors import RuntimeConfigError
 from repro.runtime import SerialRuntime
-from repro.runtime.procs import ADDRESS_CEILING, ShardTask, _run_shard
+from repro.runtime.procs import (
+    ADDRESS_CEILING,
+    ProcsRuntime,
+    ShardTask,
+    _run_shard,
+)
 from repro.synth import tiny_binary
 
 
-def _shard_deltas(sb, boundary, opts):
+def _shard_deltas(sb, boundary):
     """Two fragment parses with the ownership claim cut at ``boundary``
     (entries split by claim membership); return (deltas, warm cache)."""
     entries = sorted(sb.binary.entry_addresses())
@@ -38,7 +39,7 @@ def _shard_deltas(sb, boundary, opts):
     assert seeds[0] and seeds[1], "boundary must be interior"
     tasks = [ShardTask(0, seeds[0], 0, boundary),
              ShardTask(1, seeds[1], boundary, ADDRESS_CEILING)]
-    deltas = [_run_shard(sb.binary, opts, t, enable_metrics=True)
+    deltas = [_run_shard(sb.binary, ParseOptions(), t, enable_metrics=True)
               for t in tasks]
     warm = {}
     for d in deltas:
@@ -46,14 +47,13 @@ def _shard_deltas(sb, boundary, opts):
     return deltas, warm
 
 
-def _fragment_parse(sb, boundary, opts=None):
+def _fragment_parse(sb, boundary):
     """Run a two-shard fragment parse and the batch merge; return
     (merged ParsedCFG, coordinator runtime, fragments)."""
-    opts = opts or ParseOptions()
-    deltas, warm = _shard_deltas(sb, boundary, opts)
+    deltas, warm = _shard_deltas(sb, boundary)
     rt = SerialRuntime(enable_metrics=True)
     cfg = rt.run(lambda: merge_fragments(
-        sb.binary, rt, opts, [d.fragment for d in deltas], warm))
+        sb.binary, rt, ParseOptions(), [d.fragment for d in deltas], warm))
     return cfg, rt, [d.fragment for d in deltas]
 
 
@@ -116,7 +116,7 @@ class TestBoundaryReconciliation:
         assert m.counter("procs.merge.functions") >= len(entries)
         assert m.counter("procs.frontier.records") == sum(
             len(f.frontier) for f in frags)
-        assert m.histogram("procs.merge.wall_ns") is not None
+        assert m.histogram("procs.phase.install_wall_ns") is not None
 
 
 class TestFragmentTransport:
@@ -171,153 +171,39 @@ class TestFragmentTransport:
             _rebuild_fragment_graph(b, {}, blocks)
 
 
-class TestPartialFinalize:
-    def test_fragments_carry_hints_and_survive_pickle(self):
-        entries = sorted(_SB.binary.entry_addresses())
-        _, _, frags = _fragment_parse(_SB, entries[len(entries) // 2])
-        for frag in frags:
-            assert frag.partial is not None
-            assert frag.partial.closures, "worker shipped no closures"
-            assert frag.partial.sweep
-            # Every hinted address belongs to the exporting shard.
-            lo, hi = frag.owned
-            for addr, starts, _has_ret, _tails in frag.partial.closures:
-                assert lo <= addr < hi
-                assert all(lo <= s < hi for s in starts), (
-                    "closure walked into a foreign claim")
-            clone = pickle.loads(pickle.dumps(frag))
-            assert clone.partial.closures == frag.partial.closures
-            assert clone.partial.sweep == frag.partial.sweep
-            assert clone.partial.jt_noop == frag.partial.jt_noop
-
-    def test_hints_hit_and_result_stays_serial(self):
-        entries = sorted(_SB.binary.entry_addresses())
-        cfg, rt, _ = _fragment_parse(_SB, entries[len(entries) // 2])
-        assert cfg.signature() == _SERIAL_SIG
-        m = rt.metrics
-        assert m.counter("procs.partial.fragments") == 2
-        assert m.counter("procs.partial.closure_hits") >= 1
-        assert m.counter("procs.partial.wave_hits") >= 1
-
-    def test_disabled_ships_no_hints_and_matches(self):
-        entries = sorted(_SB.binary.entry_addresses())
-        cfg, rt, frags = _fragment_parse(
-            _SB, entries[len(entries) // 2],
-            opts=ParseOptions(partial_finalize=False))
-        assert all(f.partial is None for f in frags)
-        assert cfg.signature() == _SERIAL_SIG
-        for kind in ("closure", "wave", "sweep", "jt"):
-            assert rt.metrics.counter(f"procs.partial.{kind}_hits") == 0
-
-    def test_stale_payload_ignored_when_disabled(self):
-        """Degraded rung: fragments may still *carry* partial payloads
-        (mixed pool, stale producer) while the coordinator has hints
-        disabled — they must be ignored, not trusted."""
-        entries = sorted(_SB.binary.entry_addresses())
-        opts = ParseOptions()
-        deltas, warm = _shard_deltas(_SB, entries[len(entries) // 2], opts)
-        assert all(d.fragment.partial is not None for d in deltas)
-        rt = SerialRuntime(enable_metrics=True)
-        cfg = rt.run(lambda: merge_fragments(
-            _SB.binary, rt, ParseOptions(partial_finalize=False),
-            [d.fragment for d in deltas], warm))
-        assert cfg.signature() == _SERIAL_SIG
-        assert rt.metrics.counter("procs.partial.fragments") == 0
-
-
-class TestFinalizeAccel:
-    @staticmethod
-    def _accel(rt):
-        accel = FinalizeAccel(rt)
-        frag = CFGFragment(shard_id=0, owned=(0, 100))
-        frag.partial = PartialFinalize(
-            closures=[(16, (16, 24), True, (40,))],
-            sweep=[(16, (16, 24, 32))],
-            jt_noop=[(24, 96), (32, None)])
-        accel.add_fragment(frag, ingest=True)
-        return accel
-
-    def test_hints_valid_while_blocks_clean(self):
-        rt = SerialRuntime(enable_metrics=True)
-
-        def check():
-            accel = self._accel(rt)
-            assert accel.closure_hint(16) == (16, 24)
-            assert accel.wave_hint(16) == (True, frozenset({40}))
-            assert accel.sweep_hint(16) == {16, 24, 32}
-            assert accel.jt_hint(24, 96)
-            # "no local next base" verdict holds iff globally none either.
-            assert accel.jt_hint(32, None)
-            assert not accel.jt_hint(32, 500)
-            assert not accel.jt_hint(24, 104)  # global next base moved
-            assert not accel.jt_hint(99, 96)   # never hinted
-
-        rt.run(check)
-
-    def test_dirty_blocks_invalidate(self):
-        rt = SerialRuntime(enable_metrics=True)
-
-        def check():
-            accel = self._accel(rt)
-            accel.dirty.add(24)  # a split/new edge/replayed end at 24
-            assert accel.closure_hint(16) is None
-            assert accel.wave_hint(16) is None
-            assert accel.sweep_hint(16) is None
-            assert not accel.jt_hint(24, 96)
-
-        rt.run(check)
-
-    def test_wave_partitions_by_claim_ownership(self):
-        rt = SerialRuntime(enable_metrics=True)
-        accel = FinalizeAccel(rt)
-        funcs = [SimpleNamespace(addr=a) for a in (10, 90, 150, 260)]
-        # Single claim: serial wave.
-        accel.add_fragment(CFGFragment(shard_id=0, owned=(0, 100)),
-                           ingest=False)
-        assert accel.wave_partitions(funcs) is None
-        # Three claims: functions split by entry ownership, including a
-        # coordinator-minted function (260) mapping into the last claim.
-        accel.add_fragment(CFGFragment(shard_id=1, owned=(100, 200)),
-                           ingest=False)
-        accel.add_fragment(CFGFragment(shard_id=2, owned=(200, 300)),
-                           ingest=False)
-        parts = accel.wave_partitions(funcs)
-        assert [[f.addr for f in p] for p in parts] == [[10, 90], [150],
-                                                        [260]]
-        # All functions in one claim: nothing to shard.
-        assert accel.wave_partitions(funcs[:2]) is None
-
-
-class TestBatchedFrontierDrains:
-    def test_early_drain_overlaps_outstanding_shards(self):
-        """Once both endpoint claims are installed, ready records drain
-        *before* finish(): with two shards everything is ready at the
-        second accept, so the early-drain counters fire and the final
-        drain has nothing left — and the result is still serial."""
+class TestStreamingMerge:
+    def test_reverse_install_order_matches_serial(self):
+        """Installation is order-independent: accepting the fragments in
+        *reverse* shard order (the order a fast last shard can land in)
+        still finishes at the serial fixed point, and the streaming
+        merge observes its four coordinator phase timers."""
         entries = sorted(_SB.binary.entry_addresses())
         boundary = entries[len(entries) // 2]
-        deltas, warm = _shard_deltas(_SB, boundary, ParseOptions())
-        n_records = sum(len(d.fragment.frontier) for d in deltas)
-        assert n_records, "corpus produced no frontier traffic"
+        deltas, _ = _shard_deltas(_SB, boundary)
+        assert any(d.fragment.frontier for d in deltas), (
+            "corpus produced no frontier traffic")
         rt = SerialRuntime(enable_metrics=True)
 
         def run():
             sm = StreamingMerge(_SB.binary, rt, ParseOptions())
-            sm.accept(deltas[0].fragment, deltas[0].insns)
-            after_first = rt.metrics.counter("procs.frontier.early_records")
-            sm.accept(deltas[1].fragment, deltas[1].insns)
-            after_second = rt.metrics.counter("procs.frontier.early_records")
-            return sm.finish(), after_first, after_second
+            for d in reversed(deltas):
+                assert sm.accept(d.fragment, d.insns, streamed=True)
+            return sm.finish()
 
-        cfg, after_first, after_second = rt.run(run)
-        assert cfg.signature() == _SERIAL_SIG
-        # Nothing was ready while shard 1's claim was missing; everything
-        # drained the moment ownership completed.
-        assert after_first == 0
-        assert after_second >= n_records
-        assert rt.metrics.counter("procs.frontier.batches") >= 1
-        # The five coordinator phase timers all exist even though the
-        # final drain was empty (CI's procs-smoke asserts the same).
+        assert rt.run(run).signature() == _SERIAL_SIG
+        m = rt.metrics
+        assert m.counter("procs.overlap.fragments") == 2
+        assert m.counter("procs.frontier.records") == sum(
+            len(d.fragment.frontier) for d in deltas)
         for name in ("install", "frontier", "wave", "finalize"):
+            assert m.histogram(
+                f"procs.phase.{name}_wall_ns") is not None, name
+
+    def test_procs_parse_observes_all_five_phase_timers(self):
+        """The fan-out timer comes from the procs backend, the other
+        four from the merge; every procs parse records all five."""
+        rt = ProcsRuntime(2, in_process=True)
+        assert parse_binary(_SB.binary, rt).signature() == _SERIAL_SIG
+        for name in ("fanout", "install", "frontier", "wave", "finalize"):
             assert rt.metrics.histogram(
                 f"procs.phase.{name}_wall_ns") is not None, name

@@ -191,15 +191,16 @@ def test_procs_shm_fallback_matches_serial(reference_signatures):
     assert shm.live_segments() == []
 
 
-@pytest.mark.parametrize("name", ["jumptable-heavy", "wave-cross-shard"],
+@pytest.mark.parametrize("name", ["cross-shard-splits", "jumptable-heavy",
+                                  "noreturn-heavy", "wave-cross-shard"],
                          ids=str)
 def test_procs_worker_counts_agree(name, reference_signatures):
-    """Shard geometry must not leak into the result: 1, 2 and 3 worker
-    pools (different region boundaries → different cross-shard splits
-    and different sharded-wave partitions) all reproduce the serial
-    signature byte-for-byte."""
+    """Shard geometry must not leak into the result: 1, 2, 3, 4 and 8
+    worker pools (different region boundaries → different cross-shard
+    splits and frontier records; 8 is the ``repro analyze`` default)
+    all reproduce the serial signature byte-for-byte."""
     sb = _PROGRAMS[name]
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 8):
         got = parse_binary(sb.binary,
                            ProcsRuntime(n, in_process=True)).signature()
         assert got == reference_signatures[name], (name, n)
@@ -253,23 +254,3 @@ def test_findings_sidecar_matches_across_worker_counts(
             got = _findings_bytes(sb.binary, rt)
             assert got == reference_findings[name], (name, n,
                                                      type(rt).__name__)
-
-
-def test_procs_no_partial_finalize_matches_serial(reference_signatures,
-                                                  monkeypatch):
-    """``REPRO_NO_PARTIAL_FINALIZE=1`` is the degraded rung for the
-    worker-side finalize hints: the coordinator must ignore shipped
-    ``CFGFragment.partial`` data (fragments from a mixed/stale pool may
-    still carry it), recompute everything itself, and land on the same
-    byte-identical fixed point — with zero hint hits recorded."""
-    monkeypatch.setenv("REPRO_NO_PARTIAL_FINALIZE", "1")
-    for name in ("cross-shard-splits", "wave-cross-shard",
-                 "noreturn-heavy"):
-        sb = _PROGRAMS[name]
-        rt = ProcsRuntime(PROCS_WORKERS, in_process=PROCS_INLINE)
-        got = parse_binary(sb.binary, rt).signature()
-        assert got == reference_signatures[name], name
-        assert rt.degradation["level"] == "none"
-        for kind in ("closure", "wave", "sweep", "jt"):
-            assert rt.metrics.counter(f"procs.partial.{kind}_hits") == 0, (
-                name, kind)

@@ -1,5 +1,7 @@
-"""Documentation checks: links resolve, metrics catalog is complete."""
+"""Documentation checks: links resolve, metrics catalog is complete and
+every catalog row names a metric the source still emits."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from repro.runtime import VirtualTimeRuntime
 from repro.synth import tiny_binary
 
 REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 
 DOC_FILES = sorted(
     [REPO / "README.md"] + list((REPO / "docs").glob("*.md")))
@@ -87,3 +90,59 @@ class TestMetricsCatalog:
                          "finalize.tailcall_rounds",
                          "map.blocks.acquires"):
             assert expected in emitted_names
+
+
+#: Catalog rows in these namespaces must be backed by the source.
+_CATALOG_NAME = re.compile(r"`((?:procs|noreturn|finalize)\.[a-z0-9_.]+)`")
+
+
+def _source_strings():
+    """(string literals, f-string literal prefixes) across ``src/repro``."""
+    literals, prefixes = set(), set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+            elif isinstance(node, ast.JoinedStr) and node.values:
+                head = node.values[0]
+                if isinstance(head, ast.Constant) and head.value:
+                    prefixes.add(head.value)
+    return literals, prefixes
+
+
+def _catalog_names(text):
+    """Metric names in the first cell of every catalog table row."""
+    names = set()
+    for line in text.splitlines():
+        if line.startswith("|"):
+            names.update(_CATALOG_NAME.findall(line.split("|")[1]))
+    return names
+
+
+def _unbacked(names, literals, prefixes):
+    return sorted(n for n in names
+                  if n not in literals
+                  and not any(n.startswith(p) for p in prefixes))
+
+
+class TestCatalogReverse:
+    """Every procs/noreturn/finalize catalog row names a metric the
+    source can still emit, so rows for deleted metrics cannot linger."""
+
+    @pytest.fixture(scope="class")
+    def strings(self):
+        return _source_strings()
+
+    def test_every_catalog_row_is_emitted_by_the_source(self, strings):
+        text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+        names = _catalog_names(text)
+        assert "procs.phase.frontier_wall_ns" in names
+        stale = _unbacked(names, *strings)
+        assert not stale, (
+            "docs/OBSERVABILITY.md catalogs metrics no code emits: "
+            f"{stale}")
+
+    def test_a_row_for_an_unemitted_metric_is_flagged(self, strings):
+        row = "| `noreturn.retired_rounds` | Rounds of a removed wave. |"
+        assert _unbacked(_catalog_names(row), *strings) == [
+            "noreturn.retired_rounds"]
