@@ -2,8 +2,8 @@
 
 Each checker is a small bottom-up interprocedural analysis driven by
 :mod:`repro.analyses.interproc`: it computes a per-function *summary*
-(what a caller needs to know about a callee) and, once summaries have
-reached a fixpoint, a reporting pass collects findings.  Summaries form
+(what a caller needs to know about a callee) and reports the findings
+of the fixpoint round that saw the final summaries.  Summaries form
 a join-semilattice with a commutative, associative, idempotent
 :meth:`Checker.join`, so the fixpoint — and therefore the findings —
 is independent of evaluation schedule: the property the differential
@@ -190,8 +190,7 @@ class CalleeSavedChecker(Checker):
                 clobber = self.unknown() & self.checked
                 dirty |= clobber & ~saved
             else:
-                w = _mask_of(insn.regs_written()) & self.checked
-                dirty |= w & ~saved
+                dirty |= insn.def_mask() & self.checked & ~saved
         return (dirty, saved)
 
     def _solve(self, view: FuncView,
@@ -269,7 +268,7 @@ class UninitRegChecker(Checker):
             return (defined & ~_CALLER_SAVED) | (summ & _CALLER_SAVED)
         if op is Opcode.ICALL:
             return (defined & ~_CALLER_SAVED) | _R0_BIT
-        return defined | (_mask_of(insn.regs_written()) & _GP_MASK)
+        return defined | (insn.def_mask() & _GP_MASK)
 
     def _transfer(self, block: Block, fact, getsumm: SummaryLookup):
         if fact is None:
@@ -299,13 +298,15 @@ class UninitRegChecker(Checker):
                 continue  # unreachable
             for insn in block.insns:
                 if not insn.is_ret:  # RET's R0/SP reads are ABI formalities
-                    reads = _mask_of(insn.regs_read())
-                    undef = reads & self._CHECKED_READS & ~defined
-                    for reg in _regs_in(undef):
-                        findings.append({
-                            "rule": self.name, "address": insn.address,
-                            "detail": f"read of maybe-uninitialized "
-                                      f"{reg.name}"})
+                    undef = (insn.use_mask() & self._CHECKED_READS
+                             & ~defined)
+                    if undef:
+                        for reg in _regs_in(undef):
+                            findings.append({
+                                "rule": self.name,
+                                "address": insn.address,
+                                "detail": f"read of maybe-uninitialized "
+                                          f"{reg.name}"})
                 defined = self._step(insn, defined, getsumm)
             if block.insns and block.insns[-1].is_ret:
                 summary &= defined

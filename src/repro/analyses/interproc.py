@@ -7,9 +7,13 @@ The driver behind ``repro analyze``.  Given a parsed (read-only) CFG it
 2. walks the condensation bottom-up in *waves* — every callee SCC is
    finished before any of its callers starts — running the registered
    checkers (:mod:`repro.analyses.checkers`) over each SCC;
-3. inside an SCC, iterates the member functions' summaries to a
-   fixpoint (finite join-semilattices; cycles converge), then runs one
-   reporting pass that collects findings.
+3. inside an SCC, iterates each checker over the member functions'
+   summaries to a fixpoint (finite join-semilattices; cycles
+   converge) and keeps the findings of the last round: a round that
+   changes no summary saw the final ones, and a round that read no
+   summary from inside the SCC needs no repeat, so an acyclic
+   singleton is analyzed once per checker.  Only a checker stopped by
+   the round cap while still changing gets a separate reporting pass.
 
 SCCs within one wave are mutually independent, so they fan out in
 parallel: via ``rt.parallel_for`` on the in-process backends, or over
@@ -31,6 +35,7 @@ from typing import Any
 
 from repro.analyses.callgraph import build_call_graph, condensation_waves
 from repro.analyses.checkers import (
+    Checker,
     FuncView,
     make_checker,
     resolve_checks,
@@ -134,6 +139,57 @@ def snapshot_function(func: Function, entry_set: set[int],
         jump_tables=tuple(sorted(tables, key=lambda j: j.block_start)))
 
 
+def _checker_fixpoint(checker: Checker, views: dict[int, FuncView],
+                      entries: list[int], external: dict[int, Any]
+                      ) -> tuple[dict[int, Any], list[dict], int]:
+    """Iterate one checker over one SCC; return (summaries, raw
+    findings with function attribution, rounds).
+
+    A round whose summaries all stay put saw exactly the final
+    summaries, so its findings are the final findings.  A round that
+    read no summary from inside the SCC depended only on the fixed
+    external ones, so a further round would repeat it verbatim: an
+    acyclic singleton is analyzed once.
+    """
+    loc = {e: checker.bottom() for e in entries}
+    read_local = False
+
+    def getsumm(target: int | None):
+        nonlocal read_local
+        if target is None:
+            return checker.unknown()
+        if target in loc:
+            read_local = True
+            return loc[target]
+        if target in external:
+            return external[target]
+        return checker.unknown()
+
+    def attribute(e: int, raw: list[dict]) -> list[dict]:
+        return [{**f, "function": views[e].name} for f in raw]
+
+    # Finite lattices converge; the cap is a deterministic safety valve.
+    max_rounds = 4 * len(entries) + 16
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        read_local = changed = False
+        findings: list[dict] = []
+        for e in entries:
+            new, raw = checker.analyze(views[e], getsumm)
+            findings.extend(attribute(e, raw))
+            if new != loc[e]:
+                loc[e] = new
+                changed = True
+        if not changed or not read_local:
+            return loc, findings, rounds
+    # Capped while still changing: report over the capped summaries.
+    findings = []
+    for e in entries:
+        findings.extend(attribute(e, checker.analyze(views[e], getsumm)[1]))
+    return loc, findings, rounds
+
+
 def analyze_unit(unit: SCCUnit) -> dict:
     """Analyze one SCC to summary fixpoint; pure and deterministic.
 
@@ -141,51 +197,22 @@ def analyze_unit(unit: SCCUnit) -> dict:
     worker — calls exactly this function, which is what makes the
     findings independent of backend and schedule.  Returns
     ``{"index", "summaries", "findings", "rounds"}``; findings carry
-    function attribution but not yet the binary name.
+    function attribution but not yet the binary name, and ``rounds``
+    is the most fixpoint rounds any one checker took.
     """
-    checkers = [make_checker(n) for n in unit.checks]
     views = {u.entry: u.materialize() for u in unit.funcs}
     entries = sorted(views)
-    local: dict[str, dict[int, Any]] = {
-        c.name: {e: c.bottom() for e in entries} for c in checkers}
-
-    def lookup(checker, loc):
-        ext = unit.external.get(checker.name, {})
-
-        def getsumm(target: int | None):
-            if target is None:
-                return checker.unknown()
-            if target in loc:
-                return loc[target]
-            if target in ext:
-                return ext[target]
-            return checker.unknown()
-        return getsumm
-
-    rounds = 0
-    changed = True
-    # Finite lattices converge; the cap is a deterministic safety valve.
-    max_rounds = 4 * len(entries) + 16
-    while changed and rounds < max_rounds:
-        rounds += 1
-        changed = False
-        for c in checkers:
-            loc = local[c.name]
-            getsumm = lookup(c, loc)
-            for e in entries:
-                new, _ = c.analyze(views[e], getsumm)
-                if new != loc[e]:
-                    loc[e] = new
-                    changed = True
-
+    summaries: dict[str, dict[int, Any]] = {}
     findings: list[dict] = []
-    for c in checkers:
-        getsumm = lookup(c, local[c.name])
-        for e in entries:
-            _, raw = c.analyze(views[e], getsumm)
-            for f in raw:
-                findings.append({**f, "function": views[e].name})
-    return {"index": unit.index, "summaries": local,
+    rounds = 0
+    for name in unit.checks:
+        loc, found, n = _checker_fixpoint(
+            make_checker(name), views, entries,
+            unit.external.get(name, {}))
+        summaries[name] = loc
+        findings.extend(found)
+        rounds = max(rounds, n)
+    return {"index": unit.index, "summaries": summaries,
             "findings": findings, "rounds": rounds}
 
 

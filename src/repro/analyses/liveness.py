@@ -21,13 +21,6 @@ from repro.isa.registers import NUM_REGS, Reg
 from repro.runtime.api import Runtime
 
 
-def _regs_to_bits(regs) -> int:
-    bits = 0
-    for r in regs:
-        bits |= 1 << int(r)
-    return bits
-
-
 def _popcount(v: int) -> int:
     return bin(v).count("1")
 
@@ -59,8 +52,7 @@ def block_transfer(block: Block, live_out: int) -> int:
     """Backward transfer: live_in = gen ∪ (live_out − kill), per insn."""
     live = live_out
     for insn in reversed(block.insns):
-        live &= ~_regs_to_bits(insn.regs_written())
-        live |= _regs_to_bits(insn.regs_read())
+        live = (live & ~insn.def_mask()) | insn.use_mask()
     return live
 
 
@@ -72,7 +64,7 @@ def liveness(func: Function, rt: Runtime | None = None,
     property battery uses seeded shuffles; the fixpoint is identical).
     """
     # At function exits the ABI return register and SP are live.
-    boundary = _regs_to_bits({Reg.R0, Reg.SP})
+    boundary = (1 << Reg.R0) | (1 << Reg.SP)
     cost = rt.cost.liveness_per_insn if rt is not None else 0
     problem = DataflowProblem(
         direction=Direction.BACKWARD,

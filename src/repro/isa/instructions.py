@@ -3,8 +3,9 @@
 An :class:`Instruction` is an immutable record of a decoded machine
 instruction: its address, opcode, operands and byte length.  Classification
 helpers (``is_control_flow``, ``falls_through``, ``direct_target`` …) are what
-CFG construction consumes; register def/use sets are what liveness analysis
-and backward slicing (jump-table analysis) consume.
+CFG construction consumes; register def/use sets are what backward slicing
+(jump-table analysis) consumes, and their bit-set twins (``def_mask``,
+``use_mask``) are what liveness and the checkers consume.
 
 Control-flow relevant opcodes mirror the constructs discussed in the paper:
 
@@ -278,6 +279,22 @@ class Instruction:
                               Reg.R4, Reg.R5, Reg.R6, Reg.R7})
         return frozenset()
 
+    def use_mask(self) -> int:
+        """:meth:`regs_read` as a bit set (bit ``i`` = ``Reg(i)``)."""
+        slots, mask = _USE_TABLE[self.opcode]
+        o = self.operands
+        for i in slots:
+            mask |= 1 << o[i]
+        return mask
+
+    def def_mask(self) -> int:
+        """:meth:`regs_written` as a bit set (bit ``i`` = ``Reg(i)``)."""
+        slots, mask = _DEF_TABLE[self.opcode]
+        o = self.operands
+        for i in slots:
+            mask |= 1 << o[i]
+        return mask
+
     # -- stack effect --------------------------------------------------------
 
     def sp_delta(self) -> int | None:
@@ -312,6 +329,55 @@ class Instruction:
         for v in self.operands:
             out.append(str(v))
         return out
+
+
+def _reg_table(spec: dict[Opcode, tuple[tuple[int, ...], tuple[Reg, ...]]]
+               ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Index a per-opcode ``(register operand slots, fixed registers)``
+    spec by opcode value, fixed registers folded into one bit set."""
+    table = [((), 0)] * (max(Opcode) + 1)
+    for op, (slots, fixed) in spec.items():
+        table[op] = (slots, sum(1 << r for r in set(fixed)))
+    return tuple(table)
+
+
+_ALU_RR = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.XOR, Opcode.AND,
+           Opcode.OR)
+
+#: Bit-set twin of :meth:`Instruction.regs_read`, driving ``use_mask``.
+_USE_TABLE = _reg_table({
+    Opcode.MOV_RR: ((1,), ()),
+    **{op: ((0, 1), ()) for op in _ALU_RR},
+    Opcode.ADDI: ((0,), ()),
+    Opcode.CMP_RI: ((0,), ()),
+    Opcode.CMP_RR: ((0, 1), ()),
+    Opcode.LOAD: ((1,), ()),
+    Opcode.STORE: ((0, 2), ()),
+    Opcode.LOADIDX: ((1, 2), ()),
+    Opcode.PUSH: ((0,), (Reg.SP,)),
+    Opcode.POP: ((), (Reg.SP,)),
+    Opcode.ENTER: ((), (Reg.SP, Reg.FP)),
+    Opcode.LEAVE: ((), (Reg.FP,)),
+    Opcode.JCC: ((), (Reg.FLAGS,)),
+    Opcode.ICALL: ((0,), ()),
+    Opcode.IJMP: ((0,), ()),
+    Opcode.RET: ((), (Reg.SP, Reg.R0)),
+})
+
+#: Bit-set twin of :meth:`Instruction.regs_written`, driving ``def_mask``.
+_DEF_TABLE = _reg_table({
+    **{op: ((0,), ()) for op in (Opcode.MOV_RI, Opcode.MOV_RR, *_ALU_RR,
+                                 Opcode.ADDI, Opcode.LOAD, Opcode.LOADIDX,
+                                 Opcode.LEA)},
+    Opcode.CMP_RI: ((), (Reg.FLAGS,)),
+    Opcode.CMP_RR: ((), (Reg.FLAGS,)),
+    Opcode.PUSH: ((), (Reg.SP,)),
+    Opcode.POP: ((0,), (Reg.SP,)),
+    Opcode.ENTER: ((), (Reg.SP, Reg.FP)),
+    Opcode.LEAVE: ((), (Reg.SP, Reg.FP)),
+    Opcode.CALL: ((), tuple(Reg(i) for i in range(8))),
+    Opcode.ICALL: ((), tuple(Reg(i) for i in range(8))),
+})
 
 
 def _as_signed32(v: int) -> int:

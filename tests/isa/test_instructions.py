@@ -1,9 +1,11 @@
 """Unit tests for instruction classification and def/use sets."""
 
+import itertools
+
 import pytest
 
 from repro.isa import Cond, ControlFlowKind, Instruction, Opcode, Reg
-from repro.isa.encoding import instruction_length
+from repro.isa.encoding import _LAYOUT, instruction_length
 
 
 def make(op, *operands, address=0x1000):
@@ -143,6 +145,29 @@ class TestStackEffects:
 
     def test_addi_non_sp_is_neutral(self):
         assert make(Opcode.ADDI, Reg.R1, 16).sp_delta() == 0
+
+
+def _bits(regs) -> int:
+    return sum(1 << r for r in regs)
+
+
+class TestDefUseMasks:
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+    def test_masks_equal_the_register_sets(self, op):
+        """Every register in every register slot: the bit-set twins
+        of ``regs_read``/``regs_written`` cannot drift from them."""
+        fields = _LAYOUT[op]
+        slots = [i for i, kind in enumerate(fields) if kind == "r"]
+        seen = 0
+        for regs in itertools.product(list(Reg), repeat=len(slots)):
+            operands = [0] * len(fields)
+            for i, r in zip(slots, regs):
+                operands[i] = int(r)
+            i = make(op, *operands)
+            assert i.use_mask() == _bits(i.regs_read()), i
+            assert i.def_mask() == _bits(i.regs_written()), i
+            seen += 1
+        assert seen == len(Reg) ** len(slots)
 
 
 class TestRegisters:
